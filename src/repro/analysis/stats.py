@@ -42,8 +42,14 @@ def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
     hi = int(math.ceil(pos))
     if lo == hi:
         return float(ordered[lo])
+    x_lo = float(ordered[lo])
+    x_hi = float(ordered[hi])
+    if x_lo == x_hi:
+        # The lerp is not exact for tied endpoints (3.5 can come out as
+        # 3.5000000000000004); a tie has exactly one right answer.
+        return x_lo
     frac = pos - lo
-    return float(ordered[lo]) * (1.0 - frac) + float(ordered[hi]) * frac
+    return x_lo * (1.0 - frac) + x_hi * frac
 
 
 def empirical_cdf(values: Sequence[float]) -> Tuple[List[float], List[float]]:

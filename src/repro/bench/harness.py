@@ -85,8 +85,9 @@ def env_override(name: str, value: str):
     """Temporarily set environment variable ``name`` to ``value``.
 
     Restores the previous value (or unsets the variable) on exit — the
-    one save/set/restore implementation behind the suite path overrides
-    (``REPRO_BURST_PATH``, ``REPRO_FLEET_PATH``).
+    one save/set/restore implementation behind the suites' switch
+    overrides (``REPRO_CELL_INDEX``) and the tests that run a switch
+    both ways.
     """
     previous = os.environ.get(name)
     os.environ[name] = value

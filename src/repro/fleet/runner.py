@@ -7,9 +7,11 @@ protocol instance, all resolved through :mod:`repro.registry` — and
 :func:`run_fleet_trial` runs it to completion and folds the per-user
 event logs into fleet metrics.
 
-Burst delivery uses the deployment's cross-user batched path by default
-(``REPRO_FLEET_PATH=scalar`` selects the per-mobile reference loop);
-both paths produce byte-identical artifacts for the same spec.
+Every fleet of more than one user has its bursts delivered by the
+deployment's cross-user batched grid (one link-engine call per
+scheduler tick); a one-user fleet takes the single-link path.  The
+committed goldens ``tests/data/golden_fleet_*.json`` and the reference
+oracle in ``tests/burst_oracle.py`` pin the artifact bytes.
 """
 
 from __future__ import annotations

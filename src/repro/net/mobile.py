@@ -127,10 +127,13 @@ class Mobile:
 
         The check sequence here (no listener -> silent skip, busy ->
         count, decline -> count, else occupy) is the arbitration
-        contract; ``Deployment._deliver_tick_batch`` inlines it across
-        a coalesced station group (hoisting the busy check, which is
-        constant over the group's shared timestamp) and must stay
-        byte-equivalent to calling this method once per station.
+        contract.  ``Deployment._deliver_burst_single`` (one mobile)
+        calls it per station, as does the reference oracle in
+        ``tests/burst_oracle.py``; ``Deployment._deliver_tick_batch``
+        (several mobiles) inlines it across a tick's station group
+        (hoisting the busy check, which is constant over the group's
+        shared timestamp) and must stay byte-equivalent to calling this
+        method once per station.
         """
         if self._listener is None:
             return None
@@ -149,32 +152,6 @@ class Mobile:
         self.bursts_measured += 1
         self._listener.on_measurement(measurement)
         return measurement
-
-    def deliver_burst(
-        self,
-        station: BaseStation,
-        link_engine,
-        now_s: float,
-    ) -> Optional[RssMeasurement]:
-        """Handle one SSB burst from ``station`` (called by the deployment).
-
-        Applies the single-RF-chain arbitration, asks the listener for a
-        receive beam, performs the dwell, and feeds the result back to
-        the listener.  Returns the measurement when one was made.
-        """
-        rx_beam = self.begin_burst(station, now_s)
-        if rx_beam is None:
-            return None
-        pose = self.pose_at(now_s)
-        measurement = link_engine.measure_burst(
-            station,
-            self.mobile_id,
-            pose,
-            self.rx_gain_fn(now_s, pose),
-            rx_beam,
-            now_s,
-        )
-        return self.complete_burst(measurement)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Mobile({self.mobile_id}, {len(self.codebook)} beams)"

@@ -176,5 +176,11 @@ def quantile(sorted_values: List[float], q: float) -> float:
     hi = int(math.ceil(pos))
     if lo == hi:
         return sorted_values[lo]
+    x_lo = sorted_values[lo]
+    x_hi = sorted_values[hi]
+    if x_lo == x_hi:
+        # The lerp is not exact for tied endpoints (3.5 can come out as
+        # 3.5000000000000004); a tie has exactly one right answer.
+        return x_lo
     frac = pos - lo
-    return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
+    return x_lo * (1.0 - frac) + x_hi * frac

@@ -5,9 +5,9 @@ is declared here — name, allowed values, default, and what the switch
 trades off — and read through :func:`switch_value`.  Centralizing the
 reads buys three things:
 
-* the byte-identity test matrix (``tests/test_dense_topology.py``,
-  ``tests/test_fleet_equivalence.py``, the bench suites) can enumerate
-  the full switch space instead of chasing ad-hoc ``os.environ`` reads;
+* tests and the bench suites can enumerate the full switch space
+  (``tests/test_dense_topology.py`` runs the cell index both ways)
+  instead of chasing ad-hoc ``os.environ`` reads;
 * an undeclared or misspelled switch name is a hard error, not a
   silently-ignored environment variable; and
 * the :mod:`repro.lint` determinism linter (rule DET004) can statically
@@ -56,33 +56,6 @@ class Switch:
 #: The declared switches, in display order.  Adding a runtime toggle
 #: means adding a row here — DET004 rejects raw reads elsewhere.
 _TABLE: Tuple[Switch, ...] = (
-    Switch(
-        name="REPRO_BURST_PATH",
-        default="vectorized",
-        values=("vectorized", "scalar"),
-        description=(
-            "LinkEngine burst evaluation: the vectorized batch path or "
-            "the scalar per-dwell reference loop (byte-identical)"
-        ),
-    ),
-    Switch(
-        name="REPRO_BURST_SCHED",
-        default="coalesced",
-        values=("coalesced", "legacy"),
-        description=(
-            "Burst scheduling: one coalesced heap event per shared SSB "
-            "tick, or the legacy one-PeriodicTask-per-station reference"
-        ),
-    ),
-    Switch(
-        name="REPRO_FLEET_PATH",
-        default="batch",
-        values=("batch", "scalar"),
-        description=(
-            "Burst delivery: the cross-user batched grid call or the "
-            "per-mobile reference loop (byte-identical)"
-        ),
-    ),
     Switch(
         name="REPRO_CELL_INDEX",
         default="on",

@@ -1,15 +1,17 @@
 """Determinism contract of the cross-user batched burst path.
 
-Three layers of evidence, mirroring the PR 2 scalar/vectorized suite:
+Layers of evidence:
 
-* grid micro-equivalence — the (users x dwells) batch APIs are
-  bit-identical to stacking their per-mobile counterparts and leave
-  every RNG stream in the same state;
-* fleet-run equivalence — a fleet artifact is byte-identical across
-  ``REPRO_FLEET_PATH=scalar|batch`` and across campaign worker counts;
-* sharded equivalence — a sharded run's merged artifact is
-  byte-identical to the unsharded run across shard counts, worker
-  counts and burst paths (the PR 7 correctness pin);
+* grid micro-equivalence — the (rows x dwells) grid APIs are
+  bit-identical to the per-dwell reference loop (``burst_oracle``)
+  and leave every RNG stream in the same state;
+* fleet-run equivalence — a fleet artifact is byte-identical to the
+  one the reference oracle delivers, and across campaign worker counts;
+* committed goldens — the CI smoke fleets (``tests/data/
+  golden_fleet_{street,corridor}.json``) rebuild byte for byte
+  in-process and through a fresh CLI process;
+* sharded equivalence — a sharded run's merged artifact equals the
+  street golden across shard and worker counts;
 * fresh-process repeatability — the same spec produces the same bytes
   in a brand-new interpreter.
 """
@@ -24,9 +26,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.bench.harness import env_override
+import burst_oracle
 from repro.campaign.spec import canonical_json
 from repro.fleet import FleetSpec, UserProfile, run_fleet_trial
+from repro.fleet.experiment import fleet_spec_for_cell
 from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
 from repro.net.base_station import BaseStation
@@ -36,6 +39,21 @@ from repro.phy.codebook import Codebook
 from repro.sim.rng import RngRegistry
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+#: The CI fleet-smoke runs, captured as committed goldens: golden file
+#: -> (``repro fleet run`` flags beyond ``--users 8 --duration 1.0``,
+#: the matching ``fleet_spec_for_cell`` arguments).  Seed 0 is the CLI
+#: default.
+GOLDENS = {
+    "golden_fleet_street.json": (
+        ["--mix", "mobility-blend"], {"mix": "mobility-blend"},
+    ),
+    "golden_fleet_corridor.json": (
+        ["--topology", "corridor", "--cells", "32"],
+        {"mix": "uniform", "topology": "corridor", "n_cells": 32},
+    ),
+}
 
 
 def fleet_spec(n_users=10, seed=11, duration_s=1.5):
@@ -54,9 +72,21 @@ def fleet_spec(n_users=10, seed=11, duration_s=1.5):
     )
 
 
-def run_with_path(mode, spec=None):
-    with env_override("REPRO_FLEET_PATH", mode):
-        return run_fleet_trial(spec or fleet_spec())
+def golden_spec(golden):
+    """The in-process spec of the CLI run that produced ``golden``."""
+    options = dict(GOLDENS[golden][1])
+    return fleet_spec_for_cell(
+        options.pop("mix"), scenario="walk", seed=0, n_users=8,
+        duration_s=1.0, name="fleet", **options,
+    )
+
+
+def cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return env
 
 
 class TestGridMicroEquivalence:
@@ -89,23 +119,39 @@ class TestGridMicroEquivalence:
         def make_channel():
             return Channel(ChannelConfig(), RngRegistry(5))
 
-        tx_pose = Pose(Vec3(0.0, 10.0))
-        poses = [Pose(Vec3(4.0 + k, 0.0), heading=0.1 * k) for k in range(3)]
-        links = [f"cellA|ue{k}" for k in range(3)]
-        tx_gains = np.linspace(-5.0, 12.0, 18)
+        # Two stations' rows on one tick: different transmit poses,
+        # powers and dwell counts (the short burst padded with -inf).
+        tx_poses = [Pose(Vec3(0.0, 10.0))] * 3 + [Pose(Vec3(50.0, 10.0))] * 2
+        rx_poses = [
+            Pose(Vec3(4.0 + k, 0.0), heading=0.1 * k) for k in (0, 1, 2, 0, 1)
+        ]
+        links = [f"cellA|ue{k}" for k in range(3)] + [
+            f"cellB|ue{k}" for k in range(2)
+        ]
+        dwells = [18, 18, 18, 12, 12]
+        rx_gains = [1.0, 2.0, 3.0, -1.0, 0.5]
+        powers = [0.0, 0.0, 0.0, 3.0, 3.0]
+        gains = np.linspace(-5.0, 12.0, 18)
+        tx_gains = np.full((5, 18), -np.inf)
+        for row, n in enumerate(dwells):
+            tx_gains[row, :n] = gains[:n]
         grid_channel = make_channel()
-        grid = grid_channel.burst_rss_grid_dbm(
-            links, 0.25, tx_pose, poses,
-            np.tile(tx_gains, (3, 1)), np.array([1.0, 2.0, 3.0]), 0.0,
+        grid = grid_channel.burst_rss_rows_dbm(
+            links, 0.25, tx_poses, rx_poses, tx_gains,
+            np.array(rx_gains), np.array(powers), dwells,
         )
         loop_channel = make_channel()
-        for u, (link, pose, rx_gain) in enumerate(
-            zip(links, poses, [1.0, 2.0, 3.0])
-        ):
-            row = loop_channel.burst_rss_dbm(
-                link, 0.25, tx_pose, pose, tx_gains, rx_gain, 0.0
-            )
-            assert np.array_equal(grid[u], row)
+        for row, link in enumerate(links):
+            # The oracle: one rss_dbm call per dwell.
+            expected = [
+                loop_channel.rss_dbm(
+                    link, 0.25, tx_poses[row], rx_poses[row],
+                    float(gains[d]), rx_gains[row], powers[row],
+                )
+                for d in range(dwells[row])
+            ]
+            assert list(grid[row, :dwells[row]]) == expected
+            assert np.all(grid[row, dwells[row]:] == -np.inf)
         # Both channels drew identically from every stream.
         for name in loop_channel._rng_registry.stream_names():
             assert (
@@ -116,13 +162,18 @@ class TestGridMicroEquivalence:
     def test_link_engine_batch_matches_scalar_loop(self):
         def make_deployment():
             deployment = Deployment(DeploymentConfig(master_seed=9))
-            station = deployment.add_station(
-                BaseStation(
-                    "cellA", Pose(Vec3(0.0, 10.0), heading=-math.pi / 2.0),
-                    Codebook.uniform_azimuth(20.0), tx_power_dbm=0.0,
+            stations = [
+                deployment.add_station(
+                    BaseStation(
+                        cell_id, Pose(Vec3(x, 10.0), heading=-math.pi / 2.0),
+                        Codebook.uniform_azimuth(width), tx_power_dbm=0.0,
+                    )
                 )
-            )
-            return deployment, station
+                for cell_id, x, width in (
+                    ("cellA", 0.0, 20.0), ("cellB", 20.0, 30.0),
+                )
+            ]
+            return deployment, stations
 
         rx_codebook = Codebook.uniform_azimuth(20.0)
         poses = [Pose(Vec3(6.0 + 2.0 * k, 0.0), heading=0.2 * k) for k in range(4)]
@@ -137,18 +188,28 @@ class TestGridMicroEquivalence:
             )
             for k in range(4)
         ]
-        batch_dep, batch_station = make_deployment()
-        batched = batch_dep.links.measure_burst_batch(
-            batch_station, requests, 0.1
+        grid_dep, grid_stations = make_deployment()
+        batched = grid_dep.links.measure_burst_multi(
+            [(grid_stations[0], requests), (grid_stations[1], []),
+             (grid_stations[1], requests[1:])],
+            0.1,
         )
-        loop_dep, loop_station = make_deployment()
+        loop_dep, loop_stations = make_deployment()
         looped = [
-            loop_dep.links.measure_burst(
-                loop_station, mobile_id, pose, gain_fn, rx_beam, 0.1
+            [
+                burst_oracle.measure_burst(
+                    loop_dep.links, station, mobile_id, pose, gain_fn,
+                    rx_beam, 0.1,
+                )
+                for mobile_id, pose, gain_fn, rx_beam in group
+            ]
+            for station, group in (
+                (loop_stations[0], requests), (loop_stations[1], []),
+                (loop_stations[1], requests[1:]),
             )
-            for mobile_id, pose, gain_fn, rx_beam in requests
         ]
         assert batched == looped
+        assert any(m.detected for group in batched for m in group)
 
     def test_empty_request_list(self):
         deployment = Deployment(DeploymentConfig(master_seed=1))
@@ -156,22 +217,36 @@ class TestGridMicroEquivalence:
             BaseStation("cellA", Pose(Vec3(0.0, 10.0)),
                         Codebook.uniform_azimuth(30.0))
         )
-        assert deployment.links.measure_burst_batch(station, [], 0.0) == []
+        assert deployment.links.measure_burst_multi([], 0.0) == []
+        assert deployment.links.measure_burst_multi([(station, [])], 0.0) == [[]]
+        assert deployment.channel.active_links == 0
 
 
 class TestFleetPathEquivalence:
-    def test_scalar_and_batch_artifacts_byte_identical(self):
-        scalar = canonical_json(run_with_path("scalar").to_dict())
-        batch = canonical_json(run_with_path("batch").to_dict())
+    def test_scalar_and_batch_artifacts_byte_identical(self, monkeypatch):
+        batch = canonical_json(run_fleet_trial(fleet_spec()).to_dict())
+        burst_oracle.install(monkeypatch)
+        scalar = canonical_json(run_fleet_trial(fleet_spec()).to_dict())
         assert scalar == batch
 
-    def test_env_var_controls_deployment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLEET_PATH", "scalar")
-        assert Deployment().fleet_batch is False
-        monkeypatch.setenv("REPRO_FLEET_PATH", "batch")
-        assert Deployment().fleet_batch is True
-        monkeypatch.delenv("REPRO_FLEET_PATH")
-        assert Deployment().fleet_batch is True
+    def test_delivery_path_follows_mobile_count(self, monkeypatch):
+        from repro.api import Session
+
+        calls = []
+        for name in ("_deliver_tick_batch", "_deliver_burst_single"):
+            original = getattr(Deployment, name)
+
+            def spy(self, *args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(Deployment, name, spy)
+        with Session(scenario="walk", seed=1) as session:
+            session.run(0.1)
+        assert set(calls) == {"_deliver_burst_single"}
+        calls.clear()
+        run_fleet_trial(fleet_spec(n_users=2, duration_s=0.1))
+        assert set(calls) == {"_deliver_tick_batch"}
 
     def test_repeat_in_process_identical(self):
         first = canonical_json(run_fleet_trial(fleet_spec()).to_dict())
@@ -309,33 +384,46 @@ class TestProgressEquivalence:
         assert reporter.runs[-1][0] == spec.duration_s
 
 
+class TestFleetGoldens:
+    """The CI smoke fleets rebuild their committed goldens byte for byte."""
+
+    @pytest.mark.parametrize("golden", sorted(GOLDENS))
+    def test_in_process_matches_golden(self, golden):
+        artifact = canonical_json(run_fleet_trial(golden_spec(golden)).to_dict())
+        assert artifact + "\n" == (DATA_DIR / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("golden", sorted(GOLDENS))
+    def test_cli_fresh_process_matches_golden(self, golden, tmp_path):
+        out = tmp_path / golden
+        result = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "fleet", "run", "--users", "8",
+                "--duration", "1.0", *GOLDENS[golden][0], "--out", str(out),
+                "--quiet", "--no-ledger",
+            ],
+            env=cli_env(), capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
+
+
 class TestShardedEquivalence:
     """Sharding is an execution detail: merged bytes == unsharded bytes."""
 
-    @pytest.fixture(scope="class")
-    def unsharded_bytes(self):
-        return canonical_json(run_fleet_trial(fleet_spec()).to_dict())
-
-    @pytest.mark.parametrize("path", ["batch", "scalar"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_matrix_byte_identical(
-        self, shards, workers, path, unsharded_bytes, tmp_path
-    ):
+    def test_matrix_byte_identical(self, shards, workers, tmp_path):
         from repro.fleet import run_fleet_sharded
 
-        with env_override("REPRO_FLEET_PATH", path):
-            expected = canonical_json(run_fleet_trial(fleet_spec()).to_dict())
-            out = tmp_path / f"s{shards}w{workers}{path}"
-            result = run_fleet_sharded(
-                fleet_spec(), shards, out_dir=out, workers=workers
-            )
-        # Byte-identical regardless of partitioning and pool size...
-        merged = (out / "fleet.json").read_text()[:-1]
-        assert merged == expected
-        assert canonical_json(result.merged.to_dict()) == expected
-        # ...and regardless of the burst-delivery path.
-        assert expected == unsharded_bytes
+        golden = "golden_fleet_street.json"
+        expected = (DATA_DIR / golden).read_text(encoding="utf-8")
+        out = tmp_path / f"s{shards}w{workers}"
+        result = run_fleet_sharded(
+            golden_spec(golden), shards, out_dir=out, workers=workers
+        )
+        # Byte-identical regardless of partitioning and pool size.
+        assert (out / "fleet.json").read_text(encoding="utf-8") == expected
+        assert canonical_json(result.merged.to_dict()) + "\n" == expected
 
     def test_shard_artifacts_partition_users(self, tmp_path):
         from repro.fleet import partition_fleet, run_fleet_sharded
@@ -366,10 +454,7 @@ class TestShardedEquivalence:
     def test_cli_sharded_fresh_process_identical(self, tmp_path):
         """Fresh-interpreter sharded runs repeat byte-for-byte and match
         the unsharded CLI artifact."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        env = cli_env()
         flags = ["--users", "6", "--duration", "1.0", "--seed", "33"]
         merged = []
         for run in range(2):
@@ -399,10 +484,7 @@ class TestShardedEquivalence:
 
 class TestFreshProcessRepeat:
     def test_cli_artifact_byte_identical_across_processes(self, tmp_path):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = SRC + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-        )
+        env = cli_env()
         artifacts = []
         for run in range(2):
             out = tmp_path / f"fleet-{run}.json"

@@ -98,20 +98,17 @@ class TestRadioArbitration:
         mobile = make_mobile()
         listener = RecordingListener()
         mobile.attach_listener(listener)
-        station = make_station()
-        links = make_links()
         mobile.occupy_radio(0.0, 1.0)
-        result = mobile.deliver_burst(station, links, 0.5)
-        assert result is None
+        assert mobile.begin_burst(make_station(), 0.5) is None
         assert mobile.bursts_skipped_busy == 1
         assert listener.measurements == []
 
     def test_burst_declined_by_listener(self):
         mobile = make_mobile()
         mobile.attach_listener(DecliningListener())
-        result = mobile.deliver_burst(make_station(), make_links(), 0.0)
-        assert result is None
+        assert mobile.begin_burst(make_station(), 0.0) is None
         assert mobile.bursts_declined == 1
+        assert not mobile.radio_busy(0.0)
 
     def test_burst_measured_and_delivered(self):
         mobile = make_mobile()
@@ -119,22 +116,30 @@ class TestRadioArbitration:
         best = mobile.best_rx_beam_towards(station, 0.0)
         listener = RecordingListener(beam=best)
         mobile.attach_listener(listener)
-        result = mobile.deliver_burst(station, make_links(), 0.0)
-        assert result is not None
-        assert result.detected
-        assert listener.measurements == [result]
+        rx_beam = mobile.begin_burst(station, 0.0)
+        assert rx_beam == best
+        pose = mobile.pose_at(0.0)
+        measurement = make_links().measure_burst(
+            station, mobile.mobile_id, pose, mobile.rx_gain_fn(0.0, pose),
+            rx_beam, 0.0,
+        )
+        assert mobile.complete_burst(measurement) is measurement
+        assert measurement.detected
+        assert listener.measurements == [measurement]
         assert mobile.bursts_measured == 1
 
     def test_burst_occupies_radio(self):
         mobile = make_mobile()
         station = make_station()
         mobile.attach_listener(RecordingListener())
-        mobile.deliver_burst(station, make_links(), 0.0)
+        assert mobile.begin_burst(station, 0.0) is not None
         assert mobile.radio_busy(station.schedule.burst_duration_s() / 2)
 
     def test_no_listener_no_measurement(self):
         mobile = make_mobile()
-        assert mobile.deliver_burst(make_station(), make_links(), 0.0) is None
+        assert mobile.begin_burst(make_station(), 0.0) is None
+        assert mobile.bursts_skipped_busy == 0
+        assert mobile.bursts_declined == 0
 
     def test_rejects_empty_id(self):
         with pytest.raises(ValueError):

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.stats import (
@@ -109,6 +109,11 @@ def test_merge_commutes_exactly(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(_values, _values, _values)
+# Tied lerp endpoints: an inexact interpolation between two equal
+# values lands just outside their rank range.
+@example(a=[], b=[], c=[4.0, 3.5, 3.5])
+@example(a=[], b=[], c=[1e12, 3.5, 3.5])
+@example(a=[], b=[], c=[5.09e-304, 5.09e-304])
 def test_merge_associativity_within_rank_tolerance(a, b, c):
     """(A+B)+C and A+(B+C) agree with exact quantiles within rank error.
 

@@ -1,23 +1,24 @@
 """Scalar-vs-vectorized equivalence of the burst-evaluation path.
 
-The batch path's contract is *bit-for-bit* equality with the scalar
-reference, including RNG stream state: any drift here silently changes
-every artifact.  These tests pin the contract at every layer — antenna
-patterns, codebook gains, fading/shadowing stream order, channel burst
-evaluation, the full link engine, and finally trace-level campaign
-artifacts.
+The vectorized path's contract is *bit-for-bit* equality with the
+scalar reference, including RNG stream state: any drift here silently
+changes every artifact.  These tests pin the contract at every layer —
+antenna patterns, codebook gains, fading/shadowing stream order,
+channel burst evaluation, the full link engine against the per-dwell
+oracle (``burst_oracle``), and finally trace-level campaign artifacts
+produced with the oracle installed.
 """
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest
 
+import burst_oracle
 from repro.experiments.scenarios import build_cell_edge_deployment
 from repro.geometry.pose import Pose
 from repro.geometry.vectors import Vec3
+from repro.net.link_engine import LinkEngine
 from repro.phy.antenna import (
     AntennaPattern,
     GaussianBeamPattern,
@@ -235,18 +236,18 @@ class TestLinkEngineBurst:
     @pytest.mark.parametrize("codebook", ["narrow", "wide", "omni"])
     @pytest.mark.parametrize("scenario", ["walk", "rotation"])
     def test_measure_burst_paths_identical(self, codebook, scenario):
-        def run(vectorized):
+        def run(measure):
             deployment, mobile = build_cell_edge_deployment(
                 11, mobile_codebook=codebook, scenario=scenario
             )
-            deployment.links.vectorized = vectorized
             station = deployment.station("cellB")
             measurements = []
             for k in range(40):
                 t = k * 0.02
                 pose = mobile.pose_at(t)
                 measurements.append(
-                    deployment.links.measure_burst(
+                    measure(
+                        deployment.links,
                         station,
                         mobile.mobile_id,
                         pose,
@@ -257,7 +258,7 @@ class TestLinkEngineBurst:
                 )
             return measurements
 
-        assert run(vectorized=True) == run(vectorized=False)
+        assert run(LinkEngine.measure_burst) == run(burst_oracle.measure_burst)
 
     def test_detection_threshold_override(self):
         deployment, mobile = build_cell_edge_deployment(3)
@@ -287,8 +288,9 @@ class TestTraceLevelArtifacts:
             codebooks=("narrow",), name="equivalence",
         )
         contents = {}
-        for mode in ("scalar", "vectorized"):
-            monkeypatch.setenv("REPRO_BURST_PATH", mode)
+        for mode in ("vectorized", "scalar"):
+            if mode == "scalar":
+                burst_oracle.install(monkeypatch)
             out_dir = tmp_path / mode
             run_campaign(spec, out_dir=out_dir)
             cells = sorted((out_dir / "cells").glob("*.json"))
@@ -299,8 +301,7 @@ class TestTraceLevelArtifacts:
     def test_search_trial_identical_across_paths(self, monkeypatch):
         from repro.experiments.fig2a import run_search_trial
 
-        monkeypatch.setenv("REPRO_BURST_PATH", "scalar")
-        scalar = run_search_trial("narrow", scenario="walk", seed=5)
-        monkeypatch.setenv("REPRO_BURST_PATH", "vectorized")
         vectorized = run_search_trial("narrow", scenario="walk", seed=5)
+        burst_oracle.install(monkeypatch)
+        scalar = run_search_trial("narrow", scenario="walk", seed=5)
         assert scalar == vectorized
