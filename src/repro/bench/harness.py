@@ -17,8 +17,9 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.util.files import atomic_write_text
 from repro.util.numerics import quantile
 
 
@@ -43,31 +44,18 @@ class TimingResult:
     meta: Dict[str, object] = field(default_factory=dict)
 
 
-def time_fn(
+def _timing_result(
     name: str,
-    fn: Callable[[], object],
-    repeats: int = 5,
-    warmup: int = 1,
-    meta: Optional[Dict[str, object]] = None,
+    samples: List[float],
+    warmup: int,
+    meta: Optional[Dict[str, object]],
 ) -> TimingResult:
-    """Time ``fn`` with ``warmup`` discarded runs and ``repeats`` samples."""
-    if repeats < 1:
-        raise ValueError(f"need at least one repeat, got {repeats!r}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup!r}")
-    for _ in range(warmup):
-        fn()
-    samples: List[float] = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
     ordered = sorted(samples)
     p25 = quantile(ordered, 0.25)
     p75 = quantile(ordered, 0.75)
     return TimingResult(
         name=name,
-        repeats=repeats,
+        repeats=len(samples),
         warmup=warmup,
         median_s=quantile(ordered, 0.50),
         iqr_s=p75 - p25,
@@ -78,6 +66,62 @@ def time_fn(
         samples_s=samples,
         meta=dict(meta or {}),
     )
+
+
+def _check_counts(repeats: int, warmup: int) -> None:
+    if repeats < 1:
+        raise ValueError(f"need at least one repeat, got {repeats!r}")
+    if warmup < 0:
+        raise ValueError(f"warmup must be non-negative, got {warmup!r}")
+
+
+def time_fn(
+    name: str,
+    fn: Callable[[], object],
+    repeats: int = 5,
+    warmup: int = 1,
+    meta: Optional[Dict[str, object]] = None,
+) -> TimingResult:
+    """Time ``fn`` with ``warmup`` discarded runs and ``repeats`` samples."""
+    _check_counts(repeats, warmup)
+    for _ in range(warmup):
+        fn()
+    samples: List[float] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - start)
+    return _timing_result(name, samples, warmup, meta)
+
+
+def time_interleaved(
+    cases: Sequence[Tuple[str, Callable[[], object], Dict[str, object]]],
+    repeats: int = 5,
+    warmup: int = 1,
+) -> List[TimingResult]:
+    """Time ``(name, fn, meta)`` cases in interleaved rounds.
+
+    Each round runs every case once, and every other round runs them in
+    reverse order (A B, B A, A B, ...), warmup rounds included.  Host
+    drift over the run therefore lands on all cases equally, which is
+    what makes the ratio of their medians mean something.
+    """
+    _check_counts(repeats, warmup)
+    samples: List[List[float]] = [[] for _ in cases]
+    for round_index in range(warmup + repeats):
+        order = list(range(len(cases)))
+        if round_index % 2:
+            order.reverse()
+        for case in order:
+            start = time.perf_counter()
+            cases[case][1]()
+            elapsed = time.perf_counter() - start
+            if round_index >= warmup:
+                samples[case].append(elapsed)
+    return [
+        _timing_result(name, case_samples, warmup, meta)
+        for (name, _fn, meta), case_samples in zip(cases, samples)
+    ]
 
 
 @contextlib.contextmanager
@@ -111,14 +155,8 @@ def write_bench_json(
     payload: Dict[str, object], path: Union[str, Path]
 ) -> Path:
     """Write a bench payload as canonical JSON (atomic, trailing newline)."""
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text + "\n", encoding="utf-8")
-    os.replace(tmp, target)
-    return target
+    return atomic_write_text(path, text + "\n")
 
 
 def results_payload(results: List[TimingResult]) -> List[Dict[str, object]]:

@@ -42,6 +42,7 @@ from repro.bench.harness import (
     results_payload,
     speedup,
     time_fn,
+    time_interleaved,
     write_bench_json,
 )
 
@@ -238,18 +239,21 @@ def _bench_fig2a_burst_heavy(
         "duration_s": duration_s,
         "cells": 3,
     }
-    results.append(
-        time_fn("fig2a.burst_heavy.vectorized", run, repeats, warmup, meta)
-    )
-    # Same workload with telemetry *enabled*: derived.telemetry_overhead
-    # tracks what span/counter collection costs on the hottest macro.
-    results.append(
-        time_fn(
-            "fig2a.burst_heavy.telemetry",
-            lambda: run(telemetry=True),
+    # The same workload with telemetry *enabled*, timed in alternating
+    # rounds: derived.telemetry_overhead tracks what span/counter
+    # collection costs on the hottest macro, free of run-order drift.
+    results.extend(
+        time_interleaved(
+            [
+                ("fig2a.burst_heavy.vectorized", run, meta),
+                (
+                    "fig2a.burst_heavy.telemetry",
+                    lambda: run(telemetry=True),
+                    {**meta, "telemetry": True},
+                ),
+            ],
             repeats,
             warmup,
-            {**meta, "telemetry": True},
         )
     )
 

@@ -23,9 +23,19 @@ ResultPairs = Iterable[Tuple[CampaignCell, dict]]
 
 
 def load_campaign(out_dir: PathLike) -> Tuple[CampaignSpec, List[Tuple[CampaignCell, dict]]]:
-    """``(spec, completed pairs)`` from a campaign artifact directory."""
+    """``(spec, completed pairs)`` from a campaign artifact directory.
+
+    Pairs come in manifest (grid) order; cells without an artifact are
+    left out.
+    """
     store = ArtifactStore(out_dir)
-    return store.load_spec(), store.load_results()
+    manifest = store.manifest()
+    pairs = []
+    for entry in manifest["cells"]:
+        if store.has(entry["cell_id"]):
+            record = store.load(entry["cell_id"])
+            pairs.append((CampaignCell.from_dict(record["cell"]), record["payload"]))
+    return CampaignSpec.from_dict(manifest["spec"]), pairs
 
 
 def decoded_trials(pairs: ResultPairs) -> List[Tuple[CampaignCell, object]]:

@@ -10,7 +10,11 @@ Only the driver process writes artifacts; workers ship payloads back
 over the pool pipe.  Failed cells are collected (not written), the rest
 of the campaign completes, and a :class:`CampaignError` summarising the
 failures is raised at the end — a subsequent resume retries exactly the
-failed/missing cells.
+failed/missing cells.  That resume / dispatch / record / fail loop is
+:func:`run_stored_tasks`, shared with sharded fleets
+(:func:`repro.fleet.runner.run_fleet_sharded`), on top of the one
+worker pool :func:`execute_pooled` and the one
+:class:`~repro.campaign.store.ArtifactStore`.
 
 Experiment kinds are registered in :data:`repro.registry.EXPERIMENTS`
 (the built-ins by the ``repro.experiments`` modules themselves, plugins
@@ -27,7 +31,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Sequence, Set, Tuple, Union
 
 from repro.campaign.progress import NullProgress, ProgressReporter
 from repro.campaign.spec import CampaignCell, CampaignSpec
@@ -77,11 +81,12 @@ def decode_payload(experiment: str, payload: dict):
 def _execute_cell_task(
     task: Tuple[dict, bool],
 ) -> Tuple[str, Optional[dict], Optional[str], float, Optional[dict]]:
-    """Pool task: ``(cell_id, payload|None, error|None, elapsed_s, telemetry)``.
+    """Pool task: ``(cell_id, artifact|None, error|None, elapsed_s, telemetry)``.
 
-    ``error`` is the full traceback text: the exception object itself
-    cannot cross the pool pipe reliably, but the caller still needs to
-    see *where* a trial crashed, not just the exception type.
+    The artifact is the cell's stored record, ``{"cell": ..., "payload":
+    ...}``.  ``error`` is the full traceback text: the exception object
+    itself cannot cross the pool pipe reliably, but the caller still
+    needs to see *where* a trial crashed, not just the exception type.
 
     The telemetry flag rides in the task tuple (not a process global)
     because spawn-context workers do not inherit the driver's ambient
@@ -96,7 +101,8 @@ def _execute_cell_task(
         with _telemetry.use(hub):
             payload = execute_cell(cell)
         summary = hub.summary() if telemetry_enabled else None
-        return record["cell_id"], payload, None, wall_clock() - started, summary
+        artifact = {"cell": record, "payload": payload}
+        return record["cell_id"], artifact, None, wall_clock() - started, summary
     except Exception:  # collected, reported, retried on resume
         message = traceback.format_exc()
         return record["cell_id"], None, message, wall_clock() - started, None
@@ -265,6 +271,121 @@ def execute_pooled(
         drain()
 
 
+# ------------------------------------------------------------ stored tasks
+@dataclass
+class StoredRun:
+    """Outcome of :func:`run_stored_tasks`, keyed by item ID."""
+
+    #: Artifact records of every completed item, loaded or executed.
+    artifacts: Dict[str, dict] = field(default_factory=dict)
+    #: Telemetry summaries (executed items, plus stored sidecars of
+    #: skipped ones when telemetry is on).
+    telemetry: Dict[str, dict] = field(default_factory=dict)
+    #: Full traceback text per failed item.
+    failures: Dict[str, str] = field(default_factory=dict)
+    executed: int = 0
+    skipped: int = 0
+
+    def raise_failures(
+        self, error: type, what: str, label: Callable[[str], str]
+    ) -> None:
+        """Raise ``error`` summarising every failure, if there was one.
+
+        Headline: the terminal exception line of up to three items.
+        Full tracebacks follow in the message and ride along on the
+        exception's ``failures`` attribute.
+        """
+        if not self.failures:
+            return
+        preview = "; ".join(
+            f"{label(item_id)}: {message.strip().splitlines()[-1]}"
+            for item_id, message in list(self.failures.items())[:3]
+        )
+        tracebacks = "\n".join(
+            f"--- {label(item_id)} ---\n{message}"
+            for item_id, message in self.failures.items()
+        )
+        raise error(
+            f"{len(self.failures)}/{self.executed} {what} failed "
+            f"({preview})\n{tracebacks}",
+            self.failures,
+        )
+
+
+def run_stored_tasks(
+    store: Optional[ArtifactStore],
+    tasks: Dict[str, object],
+    task_fn: Callable,
+    workers: int,
+    resume: bool,
+    telemetry: bool,
+    on_start: Callable[[Set[str]], None],
+    on_outcome: Callable[[str, bool, float, Optional[dict]], None],
+    **pool_options,
+) -> StoredRun:
+    """Resume, dispatch and record one batch of stored tasks.
+
+    The one driver loop behind campaign cells and fleet shards.
+    ``tasks`` maps each item ID to its picklable pool task, in dispatch
+    order.  With a ``store`` and ``resume``, items whose artifact is
+    already on disk are loaded (with their telemetry sidecar when
+    ``telemetry`` is on) instead of re-run; ``on_start`` then receives
+    that done set.  The rest run through :func:`execute_pooled`:
+    ``task_fn`` returns ``(item_id, artifact|None, error|None,
+    elapsed_s, telemetry|None[, stats])``; each success is written to
+    the store, and ``on_outcome(item_id, ok, elapsed_s, stats)`` runs
+    after every outcome.  Failures are collected, never raised here —
+    see :meth:`StoredRun.raise_failures`.
+    """
+    stored = StoredRun()
+    done: Set[str] = set()
+    if store is not None and resume:
+        done = store.completed_ids() & set(tasks)
+    for item_id in tasks:
+        if item_id not in done:
+            continue
+        stored.artifacts[item_id] = store.load(item_id)
+        if telemetry:
+            # A skipped item keeps the telemetry its original run left
+            # behind (if any) so the merged view still covers it.
+            summary = store.load_telemetry(item_id)
+            if summary is not None:
+                stored.telemetry[item_id] = summary
+    stored.skipped = len(done)
+    on_start(done)
+
+    def record_outcome(
+        item_id: str,
+        artifact: Optional[dict],
+        error: Optional[str],
+        elapsed: float,
+        summary: Optional[dict],
+        stats: Optional[dict] = None,
+    ) -> None:
+        if error is not None:
+            stored.failures[item_id] = error
+        else:
+            stored.artifacts[item_id] = artifact
+            if store is not None:
+                store.write(item_id, artifact)
+            if summary is not None:
+                stored.telemetry[item_id] = summary
+                if store is not None:
+                    store.write_telemetry(item_id, summary)
+        stored.executed += 1
+        on_outcome(item_id, error is None, elapsed, stats)
+
+    pending = [task for item_id, task in tasks.items() if item_id not in done]
+    if pending:
+        execute_pooled(task_fn, pending, workers, record_outcome, **pool_options)
+    return stored
+
+
+def load_campaign_spec(out_dir: PathLike) -> CampaignSpec:
+    """The campaign spec recorded in ``out_dir``'s manifest."""
+    return CampaignSpec.from_dict(ArtifactStore(out_dir).manifest()["spec"])
+
+
 def run_campaign(
     spec: CampaignSpec,
     out_dir: Optional[PathLike] = None,
@@ -296,7 +417,7 @@ def run_campaign(
     telemetry:
         Collect per-cell wall-clock telemetry.  Summaries land on
         :attr:`CampaignResult.telemetry` and (with ``out_dir``) as
-        sidecars under ``<out>/telemetry/``; cell artifacts are
+        ``cells/<cell_id>.telemetry.json`` sidecars; cell artifacts are
         byte-identical either way.
     """
     if workers < 1:
@@ -309,79 +430,62 @@ def run_campaign(
     result = CampaignResult(spec=spec)
     if out_dir is not None:
         store = ArtifactStore(out_dir)
-        store.initialize(spec)
+        store.initialize(
+            {
+                "name": spec.name,
+                "spec": spec.to_dict(),
+                "spec_hash": spec.spec_hash,
+                "cells": [
+                    {
+                        "cell_id": cell.cell_id,
+                        "scenario": cell.scenario,
+                        "protocol": cell.protocol,
+                        "override_label": cell.override_label,
+                        "seed": cell.seed,
+                    }
+                    for cell in cells
+                ],
+            },
+            identity=("spec_hash",),
+        )
         result.out_dir = store.root
-
-    done_ids = store.completed_ids() & set(by_id) if (store and resume) else set()
-    pending = [cell for cell in cells if cell.cell_id not in done_ids]
-    result.skipped = len(done_ids)
-    reporter.on_start(len(cells), len(done_ids))
     started = wall_clock()
-    _log.info(
-        "campaign %r: %d cells (%d already done), workers=%d, telemetry=%s",
-        spec.name, len(cells), len(done_ids), workers, telemetry,
-    )
 
-    for cell_id in done_ids:
-        _, payload = store.load_cell(cell_id)
-        result.payloads[cell_id] = payload
-        if telemetry:
-            # A skipped cell keeps the telemetry its original run left
-            # behind (if any) so the merged view still covers it.
-            stored = store.load_cell_telemetry(cell_id)
-            if stored is not None:
-                result.telemetry[cell_id] = stored
-
-    def record_outcome(
-        cell_id: str,
-        payload: Optional[dict],
-        error: Optional[str],
-        elapsed: float,
-        summary: Optional[dict],
-    ) -> None:
-        cell = by_id[cell_id]
-        if error is not None:
-            result.failures[cell_id] = error
-        else:
-            result.payloads[cell_id] = payload
-            if store is not None:
-                store.write_cell(cell, payload)
-            if summary is not None:
-                result.telemetry[cell_id] = summary
-                if store is not None:
-                    store.write_cell_telemetry(cell_id, summary)
-        result.executed += 1
-        reporter.on_cell_done(cell, error is None, elapsed)
-
-    if pending:
-        tasks = [(cell.to_dict(), telemetry) for cell in pending]
-        execute_pooled(
-            _execute_cell_task,
-            tasks,
-            workers,
-            record_outcome,
-            mp_context=mp_context,
+    def on_start(done: Set[str]) -> None:
+        reporter.on_start(len(cells), len(done))
+        _log.info(
+            "campaign %r: %d cells (%d already done), workers=%d, "
+            "telemetry=%s",
+            spec.name, len(cells), len(done), workers, telemetry,
         )
 
+    def on_outcome(cell_id: str, ok: bool, elapsed: float, _stats) -> None:
+        reporter.on_cell_done(by_id[cell_id], ok, elapsed)
+
+    stored = run_stored_tasks(
+        store,
+        {cell.cell_id: (cell.to_dict(), telemetry) for cell in cells},
+        _execute_cell_task,
+        workers,
+        resume=resume,
+        telemetry=telemetry,
+        on_start=on_start,
+        on_outcome=on_outcome,
+        mp_context=mp_context,
+    )
+    result.payloads = {
+        cell_id: record["payload"] for cell_id, record in stored.artifacts.items()
+    }
+    result.telemetry = stored.telemetry
+    result.failures = stored.failures
+    result.executed = stored.executed
+    result.skipped = stored.skipped
     reporter.on_finish(
         result.executed, len(result.failures), wall_clock() - started
     )
-    if result.failures:
-        # Headline: the terminal exception line per cell.  Full
-        # tracebacks ride along on the exception's ``failures`` attr.
-        preview = "; ".join(
-            f"{cell_id}: {message.strip().splitlines()[-1]}"
-            for cell_id, message in list(result.failures.items())[:3]
-        )
-        tracebacks = "\n".join(
-            f"--- cell {cell_id} ---\n{message}"
-            for cell_id, message in result.failures.items()
-        )
-        raise CampaignError(
-            f"{len(result.failures)}/{len(pending)} campaign cells failed "
-            f"({preview})\n{tracebacks}",
-            result.failures,
-        )
+    stored.raise_failures(
+        CampaignError, "campaign cells", lambda cell_id: f"cell {cell_id}"
+    )
     return result
 
 
@@ -393,9 +497,8 @@ def resume_campaign(
     telemetry: bool = False,
 ) -> CampaignResult:
     """Resume the campaign recorded in ``out_dir``'s manifest."""
-    spec = ArtifactStore(out_dir).load_spec()
     return run_campaign(
-        spec,
+        load_campaign_spec(out_dir),
         out_dir=out_dir,
         workers=workers,
         resume=True,

@@ -1,65 +1,84 @@
-"""Persistent campaign artifacts: one JSON file per cell plus a manifest.
+"""Persistent run artifacts: one JSON file per stored item plus a manifest.
 
-Layout under the campaign output directory::
+One store serves both kinds of stored task — campaign cells and fleet
+shards.  Layout under the output directory::
 
-    <root>/manifest.json            # spec + expanded cell index
-    <root>/cells/<cell_id>.json     # {"cell": {...}, "payload": {...}}
-    <root>/telemetry/<cell_id>.json # wall-clock telemetry (sidecar, optional)
+    <root>/manifest.json                     # kind, identity, item index
+    <root>/<items>/<item_id>.json            # one item's artifact
+    <root>/<items>/<item_id>.telemetry.json  # wall-clock sidecar (optional)
 
-Telemetry summaries live *outside* ``cells/`` on purpose: cell
-artifacts are deterministic (byte-identical across runs and worker
-counts) while telemetry is wall-clock and inherently not, and
-:meth:`ArtifactStore.completed_ids` must never mistake a telemetry
-sidecar for a finished cell.
+where ``<items>`` is ``cells`` for a campaign and ``shards`` for a
+sharded fleet (which also writes the merged ``<root>/fleet.json``).
+Item IDs are content hashes (a cell ID, a shard hash), so resume is a
+directory scan: an artifact that parses and records its own ID is done,
+anything else is re-run.
 
 Design rules:
 
+* **Kind-tagged manifest** — written once; re-initialising with the
+  same kind and identity is the resume path, anything else is refused
+  so artifacts from unrelated runs never mix.
 * **Canonical bytes** — every file is canonical JSON (sorted keys, fixed
   separators, trailing newline), so artifacts are byte-identical no
   matter how many workers produced the results or in what order they
   finished.
-* **Atomic writes** — artifacts land via write-to-temp + ``os.replace``;
-  a run killed mid-write leaves no half-written artifact, which is what
+* **Atomic writes** — files land via write-to-temp + ``os.replace``; a
+  run killed mid-write leaves no half-written artifact, which is what
   makes resume trustworthy.
-* **Single writer** — only the campaign driver process writes; workers
-  return payloads over the pool pipe.  No cross-process file locking is
+* **Single writer** — only the driver process writes; workers return
+  payloads over the pool pipe.  No cross-process file locking is
   needed.
+
+Telemetry sidecars are wall-clock and inherently not deterministic, so
+they never take part in resume decisions: :meth:`ArtifactStore.completed_ids`
+skips them by suffix, and ``repro obs top <root>`` finds them with the
+same ``*.telemetry.json`` rule that finds a single fleet run's sidecar.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
-from repro.campaign.spec import CampaignCell, CampaignSpec, canonical_json
+from repro.campaign.spec import canonical_json
+from repro.util.files import atomic_write_text
 
 PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
-CELL_DIR_NAME = "cells"
-TELEMETRY_DIR_NAME = "telemetry"
+TELEMETRY_SUFFIX = ".telemetry.json"
 STORE_FORMAT = 1
+
+CAMPAIGN_KIND = "campaign"
+FLEET_KIND = "fleet-shards"
+
+#: kind -> (item directory, key path to the ID an artifact records).
+KINDS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+    CAMPAIGN_KIND: ("cells", ("cell", "cell_id")),
+    FLEET_KIND: ("shards", ("shard_hash",)),
+}
 
 
 class StoreError(RuntimeError):
     """Raised for artifact-store misuse or on-disk corruption."""
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _read_json(path: Path, what: str):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as error:
+        raise StoreError(f"{path}: malformed {what}: {error}") from error
 
 
 class ArtifactStore:
-    """Reads and writes one campaign's on-disk artifacts."""
+    """Reads and writes one run's on-disk artifacts, for one ``kind``."""
 
-    def __init__(self, root: PathLike) -> None:
+    def __init__(self, root: PathLike, kind: str = CAMPAIGN_KIND) -> None:
         self._root = Path(root)
-        self._cell_dir = self._root / CELL_DIR_NAME
-        self._telemetry_dir = self._root / TELEMETRY_DIR_NAME
+        self._kind = kind
+        item_dir, self._id_path = KINDS[kind]
+        self._item_dir = self._root / item_dir
 
     @property
     def root(self) -> Path:
@@ -69,86 +88,83 @@ class ArtifactStore:
     def manifest_path(self) -> Path:
         return self._root / MANIFEST_NAME
 
-    def cell_path(self, cell_id: str) -> Path:
-        return self._cell_dir / f"{cell_id}.json"
+    def artifact_path(self, item_id: str) -> Path:
+        return self._item_dir / f"{item_id}.json"
+
+    def telemetry_path(self, item_id: str) -> Path:
+        return self._item_dir / f"{item_id}{TELEMETRY_SUFFIX}"
 
     # ---------------------------------------------------------------- manifest
-    def initialize(self, spec: CampaignSpec) -> None:
-        """Create the directory layout and manifest for ``spec``.
+    def initialize(self, record: dict, identity: Iterable[str]) -> None:
+        """Write ``record`` as the manifest of a new run directory.
 
-        Re-initialising with the *same* spec (by content hash) is the
-        resume path and is a no-op; a different spec over the same
-        directory is refused so artifacts from unrelated campaigns never
-        mix.
+        Re-initialising with the same kind and the same values under
+        every ``identity`` key is the resume path and is a no-op; a
+        different run over the same directory is refused before
+        anything is written to it.
         """
-        self._root.mkdir(parents=True, exist_ok=True)
-        self._cell_dir.mkdir(exist_ok=True)
-        existing = self.load_manifest_record()
-        if existing is not None:
-            if existing.get("spec_hash") != spec.spec_hash:
-                raise StoreError(
-                    f"{self._root} already holds campaign "
-                    f"{existing.get('name')!r} with a different spec "
-                    f"(hash {existing.get('spec_hash')} != {spec.spec_hash}); "
-                    "use a fresh output directory"
-                )
+        existing = self._load_manifest()
+        if existing is None:
+            record = {"format": STORE_FORMAT, "kind": self._kind, **record}
+            atomic_write_text(self.manifest_path, canonical_json(record) + "\n")
             return
-        record = {
-            "format": STORE_FORMAT,
-            "name": spec.name,
-            "spec": spec.to_dict(),
-            "spec_hash": spec.spec_hash,
-            "cells": [
-                {
-                    "cell_id": cell.cell_id,
-                    "scenario": cell.scenario,
-                    "protocol": cell.protocol,
-                    "override_label": cell.override_label,
-                    "seed": cell.seed,
-                }
-                for cell in spec.iter_cells()
-            ],
-        }
-        _atomic_write_text(self.manifest_path, canonical_json(record) + "\n")
+        keys = tuple(identity)
+        if any(existing.get(key) != record[key] for key in keys):
+            found = ", ".join(f"{key}={existing.get(key)!r}" for key in keys)
+            raise StoreError(
+                f"{self._root} already holds {self._kind} "
+                f"{existing.get('name')!r} with a different identity "
+                f"({found}); use a fresh output directory"
+            )
 
-    def load_manifest_record(self) -> Optional[dict]:
-        """The raw manifest dict, or ``None`` when absent."""
+    def _load_manifest(self) -> Optional[dict]:
+        """The raw manifest dict, or ``None`` when absent.
+
+        Raises :class:`StoreError` when the manifest is malformed or
+        belongs to another kind of run.
+        """
         if not self.manifest_path.exists():
             return None
-        try:
-            record = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as error:
+        record = _read_json(self.manifest_path, "manifest")
+        if not isinstance(record, dict) or record.get("format") != STORE_FORMAT:
             raise StoreError(
-                f"{self.manifest_path}: malformed manifest: {error}"
-            ) from error
-        if record.get("format") != STORE_FORMAT:
+                f"{self.manifest_path}: unsupported manifest format "
+                f"(expected {STORE_FORMAT})"
+            )
+        # Campaign manifests written before the kind tag carry none.
+        kind = record.get("kind", CAMPAIGN_KIND)
+        if kind != self._kind:
             raise StoreError(
-                f"{self.manifest_path}: unsupported format "
-                f"{record.get('format')!r} (expected {STORE_FORMAT})"
+                f"{self._root} holds a {kind} run, not a {self._kind} run"
             )
         return record
 
-    def load_spec(self) -> CampaignSpec:
-        """The campaign spec recorded in the manifest."""
-        record = self.load_manifest_record()
+    def manifest(self) -> dict:
+        """The manifest dict; raises :class:`StoreError` when absent."""
+        record = self._load_manifest()
         if record is None:
-            raise StoreError(f"{self._root}: no campaign manifest found")
-        return CampaignSpec.from_dict(record["spec"])
+            raise StoreError(f"{self._root}: no {self._kind} manifest found")
+        return record
 
-    # ------------------------------------------------------------------- cells
-    def write_cell(self, cell: CampaignCell, payload: dict) -> Path:
-        """Persist one cell's result artifact (atomic, canonical bytes)."""
-        self._cell_dir.mkdir(parents=True, exist_ok=True)
-        path = self.cell_path(cell.cell_id)
-        record = {"cell": cell.to_dict(), "payload": payload}
-        _atomic_write_text(path, canonical_json(record) + "\n")
-        return path
+    # ------------------------------------------------------------------- items
+    def write(self, item_id: str, record: dict) -> Path:
+        """Persist one item's artifact (atomic, canonical bytes)."""
+        return atomic_write_text(
+            self.artifact_path(item_id), canonical_json(record) + "\n"
+        )
 
-    def has_cell(self, cell_id: str) -> bool:
-        return self.cell_path(cell_id).exists()
+    def has(self, item_id: str) -> bool:
+        return self.artifact_path(item_id).exists()
+
+    def _recorded_id(self, record) -> Optional[str]:
+        for key in self._id_path:
+            if not isinstance(record, dict):
+                return None
+            record = record.get(key)
+        return record
 
     def completed_ids(self) -> Set[str]:
-        """Cell IDs with a readable, self-consistent artifact on disk.
+        """Item IDs with a readable, self-consistent artifact on disk.
 
         A file that fails to parse or whose recorded ID mismatches its
         name is treated as missing (it will simply be re-run), so a
@@ -156,63 +172,44 @@ class ArtifactStore:
         results.
         """
         done: Set[str] = set()
-        if not self._cell_dir.is_dir():
+        if not self._item_dir.is_dir():
             return done
-        for path in self._cell_dir.glob("*.json"):
-            cell_id = path.stem
+        for path in self._item_dir.glob("*.json"):
+            if path.name.endswith(TELEMETRY_SUFFIX):
+                continue
             try:
                 record = json.loads(path.read_text(encoding="utf-8"))
             except (json.JSONDecodeError, OSError):
                 continue
-            if record.get("cell", {}).get("cell_id") == cell_id:
-                done.add(cell_id)
+            if self._recorded_id(record) == path.stem:
+                done.add(path.stem)
         return done
 
-    def load_cell(self, cell_id: str) -> Tuple[CampaignCell, dict]:
-        """One cell's ``(cell, payload)`` from disk."""
-        path = self.cell_path(cell_id)
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise StoreError(f"no artifact for cell {cell_id}") from None
-        except json.JSONDecodeError as error:
-            raise StoreError(f"{path}: malformed artifact: {error}") from error
-        return CampaignCell.from_dict(record["cell"]), record["payload"]
+    def load(self, item_id: str) -> dict:
+        """One item's artifact record from disk."""
+        path = self.artifact_path(item_id)
+        if not path.exists():
+            raise StoreError(f"no artifact for {item_id} in {self._item_dir}")
+        return _read_json(path, "artifact")
 
     # --------------------------------------------------------------- telemetry
-    def telemetry_path(self, cell_id: str) -> Path:
-        return self._telemetry_dir / f"{cell_id}.json"
-
-    def write_cell_telemetry(self, cell_id: str, summary: dict) -> Path:
-        """Persist one cell's wall-clock telemetry summary (sidecar).
+    def write_telemetry(self, item_id: str, summary: dict) -> Path:
+        """Persist one item's wall-clock telemetry summary (sidecar).
 
         Sidecars are advisory: they never participate in resume
         decisions or the byte-identity contract, so a missing or stale
         one is harmless.
         """
-        self._telemetry_dir.mkdir(parents=True, exist_ok=True)
-        path = self.telemetry_path(cell_id)
-        _atomic_write_text(path, canonical_json(summary) + "\n")
-        return path
+        return atomic_write_text(
+            self.telemetry_path(item_id), canonical_json(summary) + "\n"
+        )
 
-    def load_cell_telemetry(self, cell_id: str) -> Optional[dict]:
-        """One cell's telemetry summary, or ``None`` when absent/corrupt."""
-        path = self.telemetry_path(cell_id)
+    def load_telemetry(self, item_id: str) -> Optional[dict]:
+        """One item's telemetry summary, or ``None`` when absent/corrupt."""
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (FileNotFoundError, json.JSONDecodeError, OSError):
+            record = json.loads(
+                self.telemetry_path(item_id).read_text(encoding="utf-8")
+            )
+        except (json.JSONDecodeError, OSError):
             return None
         return record if isinstance(record, dict) else None
-
-    def iter_results(self) -> Iterator[Tuple[CampaignCell, dict]]:
-        """All completed ``(cell, payload)`` pairs, in manifest order."""
-        record = self.load_manifest_record()
-        if record is None:
-            raise StoreError(f"{self._root}: no campaign manifest found")
-        for entry in record["cells"]:
-            cell_id = entry["cell_id"]
-            if self.has_cell(cell_id):
-                yield self.load_cell(cell_id)
-
-    def load_results(self) -> List[Tuple[CampaignCell, dict]]:
-        return list(self.iter_results())

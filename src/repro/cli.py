@@ -415,7 +415,7 @@ def _fold_in_sidecar(artifact) -> None:
     """Fold a telemetry sidecar into a summarize view when one exists.
 
     ``artifact`` is a fleet artifact path (sidecar rides next to it) or
-    a campaign out dir (sidecars live under ``<out>/telemetry/``).
+    a campaign out dir (sidecars ride next to the cell artifacts).
     Runs without ``--telemetry`` leave no sidecar; stay silent then.
     """
     from pathlib import Path
@@ -469,7 +469,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
     if merged is not None:
         _print_telemetry_top(merged)
         if args.out:
-            print(f"telemetry sidecars in {result.out_dir}/telemetry")
+            print(f"telemetry sidecars in {result.out_dir}/cells")
     return 0
 
 
@@ -1218,8 +1218,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="suppress per-cell progress lines")
     run.add_argument("--telemetry", action="store_true",
                      help="collect per-cell wall-clock telemetry "
-                          "(sidecars under <out>/telemetry/; cell "
-                          "artifacts stay byte-identical)")
+                          "(<out>/cells/<cell>.telemetry.json sidecars; "
+                          "cell artifacts stay byte-identical)")
     _add_ledger_args(run)
     run.set_defaults(func=_cmd_campaign_run)
 

@@ -25,7 +25,6 @@ and :func:`repro.api.run_trial`.
 from repro.fleet.metrics import (
     FleetAccumulator,
     FleetUserResult,
-    aggregate_users,
     user_result,
 )
 from repro.fleet.progress import ConsoleFleetProgress, FleetProgress
@@ -52,7 +51,6 @@ from repro.fleet.spec import (
     partition_fleet,
     synthesize_users,
 )
-from repro.fleet.store import FleetShardStore
 
 __all__ = [
     "ConsoleFleetProgress",
@@ -61,14 +59,12 @@ __all__ = [
     "FleetProgress",
     "FleetRun",
     "FleetShard",
-    "FleetShardStore",
     "FleetSpec",
     "FleetTrialResult",
     "FleetUserResult",
     "ShardedFleetResult",
     "UserProfile",
     "UserSpec",
-    "aggregate_users",
     "build_fleet",
     "load_fleet_artifact",
     "load_sharded_fleet",

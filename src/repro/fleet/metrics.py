@@ -284,7 +284,15 @@ class FleetAccumulator:
         return all(self.metrics[key].reservoir.exact for key in METRIC_KEYS)
 
     def aggregates(self) -> Dict[str, object]:
-        """The fleet ``aggregates`` payload (totals / summary / cdf)."""
+        """The fleet ``aggregates`` payload.
+
+        * ``totals`` — population-wide counts;
+        * ``summary`` — per-metric :func:`summarize`-shaped dicts (search
+          latency, handover completion time, per-user handover/ping-pong
+          rates per minute, per-user outage fraction);
+        * ``cdf`` — the fleet CDF series Fig. 2c-style plots need (search
+          latency, completion time, outage fraction).
+        """
         totals: Dict[str, int] = {"users": self.users}
         totals.update(self.totals)
         return {
@@ -323,21 +331,3 @@ class FleetAccumulator:
         }
         return accumulator
 
-
-def aggregate_users(
-    users: Sequence[FleetUserResult], duration_s: float
-) -> Dict[str, object]:
-    """Fleet-level aggregates over a fully-retained population.
-
-    The exact-mode convenience wrapper around :class:`FleetAccumulator`:
-
-    * ``totals`` — population-wide counts;
-    * ``summary`` — per-metric :func:`summarize` dicts (search latency,
-      handover completion time, per-user handover/ping-pong rates per
-      minute, per-user outage fraction);
-    * ``cdf`` — the fleet CDF series Fig. 2c-style plots need (search
-      latency, completion time, outage fraction).
-    """
-    accumulator = FleetAccumulator(duration_s, capacity=None)
-    accumulator.add_users(users)
-    return accumulator.aggregates()

@@ -5,7 +5,11 @@ onto the paper's street grid — every user gets a mobility trajectory
 (driven by the user's own derived seed), a receive codebook, and a
 protocol instance, all resolved through :mod:`repro.registry` — and
 :func:`run_fleet_trial` runs it to completion and folds the per-user
-event logs into fleet metrics.
+event logs into fleet metrics.  An unsharded fleet and each shard of a
+sharded one (:func:`run_shard`) run through the same simulate loop;
+:func:`run_fleet_sharded` dispatches shards like campaign cells through
+:func:`repro.campaign.runner.run_stored_tasks`, with one artifact per
+shard in the shared :class:`~repro.campaign.store.ArtifactStore`.
 
 Every fleet of more than one user has its bursts delivered by the
 deployment's cross-user batched grid (one link-engine call per
@@ -20,18 +24,17 @@ import json
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.stats import QuantileReservoir
-from repro.campaign.runner import CampaignError, execute_pooled, progress_sink
+from repro.campaign.runner import CampaignError, progress_sink, run_stored_tasks
 from repro.campaign.spec import SpecError, build_config, canonical_json
-from repro.campaign.store import StoreError
+from repro.campaign.store import FLEET_KIND, ArtifactStore, StoreError
 from repro.fleet.metrics import (
     FleetAccumulator,
     FleetUserResult,
-    aggregate_users,
     user_result,
 )
 from repro.fleet.progress import (
@@ -46,7 +49,6 @@ from repro.fleet.spec import (
     partition_fleet,
     synthesize_users,
 )
-from repro.fleet.store import FleetShardStore
 from repro.mobility.base import TimeShifted
 from repro.net.deployment import Deployment
 from repro.net.mobile import Mobile
@@ -55,6 +57,7 @@ from repro.obs import telemetry as _telemetry
 from repro.obs.monitor import MonitorConfig, StallDetector
 from repro.obs.telemetry import wall_clock
 from repro.obs.log import get_logger
+from repro.util.files import atomic_write_text
 
 PathLike = Union[str, Path]
 
@@ -76,6 +79,9 @@ PROGRESS_SLICES = 20
 
 #: Fleet artifact schema version.
 FLEET_FORMAT = 1
+
+#: The merged artifact a sharded run writes beside its shard store.
+MERGED_NAME = "fleet.json"
 
 
 @dataclass
@@ -251,22 +257,30 @@ def _advance_run(run: FleetRun, progress: Optional[FleetProgress]) -> None:
             break
 
 
-def run_built_fleet(
-    run: FleetRun, progress: Optional[FleetProgress] = None
-) -> FleetTrialResult:
-    """Run an already-built fleet to completion and aggregate its metrics.
+def _simulate(
+    run: FleetRun,
+    progress: Optional[FleetProgress] = None,
+    retain: bool = True,
+    capacity: Optional[int] = None,
+) -> Tuple[FleetAccumulator, Optional[List[FleetUserResult]]]:
+    """Run a built fleet or shard and fold every user into one accumulator.
 
-    Split from :func:`run_fleet_trial` so callers that need the live
-    deployment afterwards (``repro obs export`` reads its trace and the
-    ambient telemetry) can build, run, and then inspect.
+    The one simulate loop behind :func:`run_built_fleet` (a whole fleet,
+    in process) and :func:`run_shard` (one shard of it): start every
+    protocol in user order, advance the spec duration, stop, then fold
+    each user's :class:`~repro.fleet.metrics.FleetUserResult` into a
+    :class:`~repro.fleet.metrics.FleetAccumulator` (``capacity`` bounds
+    its reservoirs; ``None`` keeps it exact).  With ``retain`` the
+    per-user results come back too, in user order.
     """
     spec = run.spec
     telemetry = _telemetry.current()
-    started: List = []
-    started_wall = wall_clock()
     if progress is not None:
+        # Monitor heartbeats report cumulative engine events; the
+        # counter is read-only diagnostics, never simulation input.
         progress.bind_events(run.deployment.sim)
         progress.on_start(len(run.users), spec.duration_s)
+    started: List = []
     try:
         with telemetry.span("fleet.run"):
             for protocol in run.protocols:
@@ -280,17 +294,39 @@ def run_built_fleet(
             protocol.stop()
         run.deployment.stop()
     with telemetry.span("fleet.aggregate"):
-        results = [
-            user_result(user, mobile, protocol, spec.duration_s)
-            for user, mobile, protocol in zip(
-                run.users, run.mobiles, run.protocols
-            )
-        ]
+        accumulator = FleetAccumulator(spec.duration_s, capacity=capacity)
+        retained: Optional[List[FleetUserResult]] = [] if retain else None
+        for user, mobile, protocol in zip(
+            run.users, run.mobiles, run.protocols
+        ):
+            result = user_result(user, mobile, protocol, spec.duration_s)
+            accumulator.add_user(result)
+            if retained is not None:
+                retained.append(result)
+    return accumulator, retained
+
+
+def run_built_fleet(
+    run: FleetRun, progress: Optional[FleetProgress] = None
+) -> FleetTrialResult:
+    """Run an already-built fleet to completion and aggregate its metrics.
+
+    The in-process single-shard case: the whole population, already
+    synthesized by :func:`build_fleet`, through the same loop a shard
+    runs, with every per-user result retained.  Split from
+    :func:`run_fleet_trial` so callers that need the live deployment
+    afterwards (``repro obs export`` reads its trace and the ambient
+    telemetry) can build, run, and then inspect.
+    """
+    spec = run.spec
+    started_wall = wall_clock()
+    accumulator, users = _simulate(run, progress)
+    with _telemetry.current().span("fleet.aggregate"):
         trial = FleetTrialResult(
             fleet=spec.to_dict(),
             fleet_hash=spec.fleet_hash,
-            users=results,
-            aggregates=aggregate_users(results, spec.duration_s),
+            users=users,
+            aggregates=accumulator.aggregates(),
         )
     elapsed = wall_clock() - started_wall
     if progress is not None:
@@ -318,14 +354,7 @@ def write_fleet_artifact(result: FleetTrialResult, path: PathLike) -> Path:
     at the byte level: same spec -> same bytes, across burst paths,
     worker counts and processes.
     """
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
-    text = canonical_json(result.to_dict())
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text + "\n", encoding="utf-8")
-    tmp.replace(target)
-    return target
+    return atomic_write_text(path, canonical_json(result.to_dict()) + "\n")
 
 
 def load_fleet_artifact(path: PathLike) -> FleetTrialResult:
@@ -362,45 +391,19 @@ def run_shard(
     folded (``capacity`` bounds the quantile reservoirs); otherwise they
     are retained in the payload and the accumulator stays exact.
     """
-    spec = shard.spec
     telemetry = _telemetry.current()
     with telemetry.span("fleet.build"):
         run = build_fleet(
-            spec, progress=progress, users=shard.synthesize(), trace=False
+            shard.spec, progress=progress, users=shard.synthesize(), trace=False
         )
-    started: List = []
-    if progress is not None:
-        # Monitor heartbeats report cumulative engine events; the
-        # counter is read-only diagnostics, never simulation input.
-        progress.bind_events(run.deployment.sim)
-        progress.on_start(len(run.users), spec.duration_s)
-    try:
-        with telemetry.span("fleet.run"):
-            for protocol in run.protocols:
-                protocol.start()
-                started.append(protocol)
-            _advance_run(run, progress)
-    finally:
-        for protocol in started:
-            protocol.stop()
-        run.deployment.stop()
-    with telemetry.span("fleet.aggregate"):
-        accumulator = FleetAccumulator(
-            spec.duration_s, capacity=capacity if stream else None
-        )
-        retained: Optional[List[dict]] = None if stream else []
-        for user, mobile, protocol in zip(
-            run.users, run.mobiles, run.protocols
-        ):
-            result = user_result(user, mobile, protocol, spec.duration_s)
-            accumulator.add_user(result)
-            if retained is not None:
-                retained.append(result.to_dict())
+    accumulator, users = _simulate(
+        run, progress, retain=not stream, capacity=capacity if stream else None
+    )
     return {
         "format": SHARD_FORMAT,
         "shard": shard.to_dict(),
         "shard_hash": shard.shard_hash,
-        "users": retained,
+        "users": None if users is None else [user.to_dict() for user in users],
         "accumulator": accumulator.to_dict(),
     }
 
@@ -583,28 +586,30 @@ def run_fleet_sharded(
         capacity = None
     by_hash = {shard.shard_hash: shard for shard in shards}
 
-    store: Optional[FleetShardStore] = None
+    store: Optional[ArtifactStore] = None
     result = ShardedFleetResult(
         spec=spec, n_shards=n_shards, stream=stream, merged=None
     )
     if out_dir is not None:
-        store = FleetShardStore(out_dir)
+        store = ArtifactStore(out_dir, kind=FLEET_KIND)
+        # Shard artifacts from different partitionings must never merge,
+        # so the shard arithmetic is part of the identity.
         store.initialize(
-            spec,
-            n_shards,
-            {shard.shard_index: shard.shard_hash for shard in shards},
-            stream=stream,
-            capacity=capacity,
+            {
+                "name": spec.name,
+                "fleet": spec.to_dict(),
+                "fleet_hash": spec.fleet_hash,
+                "n_shards": n_shards,
+                "stream": stream,
+                "capacity": capacity,
+                "shards": [
+                    {"shard_index": s.shard_index, "shard_hash": s.shard_hash}
+                    for s in shards
+                ],
+            },
+            identity=("fleet_hash", "n_shards", "stream", "capacity"),
         )
         result.out_dir = store.root
-
-    done_hashes = (
-        store.completed_hashes() & set(by_hash)
-        if (store and resume)
-        else set()
-    )
-    pending = [s for s in shards if s.shard_hash not in done_hashes]
-    result.skipped = len(done_hashes)
 
     reporter = progress if progress is not None else FleetProgress()
     config = MonitorConfig.from_switches() if monitor else None
@@ -614,100 +619,76 @@ def run_fleet_sharded(
     )
     reporter.on_start(spec.n_users, spec.duration_s)
     started_wall = wall_clock()
-    _log.info(
-        "fleet %r: %d users in %d shards (%d already done), workers=%d, "
-        "stream=%s",
-        spec.name, spec.n_users, n_shards, len(done_hashes), workers, stream,
-    )
+    done_count = 0
 
-    payloads: Dict[str, dict] = {}
-    failures: Dict[str, str] = {}
-    for shard_hash in done_hashes:
-        payloads[shard_hash] = store.load_shard(shard_hash)
-        if telemetry:
-            stored = store.load_shard_telemetry(shard_hash)
-            if stored is not None:
-                result.telemetry[shard_hash] = stored
-    done_count = len(done_hashes)
-    if done_count:
-        reporter.on_shard_done(done_count, n_shards, 0.0)
+    def on_start(done: Set[str]) -> None:
+        nonlocal done_count
+        done_count = len(done)
+        _log.info(
+            "fleet %r: %d users in %d shards (%d already done), "
+            "workers=%d, stream=%s",
+            spec.name, spec.n_users, n_shards, done_count, workers, stream,
+        )
+        if done_count:
+            reporter.on_shard_done(done_count, n_shards, 0.0)
+        if stall is not None:
+            for shard in shards:
+                if shard.shard_hash not in done:
+                    stall.watch(shard.shard_index)
 
-    def record_outcome(
-        shard_hash: str,
-        payload: Optional[dict],
-        error: Optional[str],
-        elapsed: float,
-        summary: Optional[dict],
-        stats: Optional[dict],
+    def on_outcome(
+        shard_hash: str, ok: bool, elapsed: float, stats: Optional[dict]
     ) -> None:
         nonlocal done_count
-        if error is not None:
-            failures[shard_hash] = error
-        else:
-            payloads[shard_hash] = payload
-            if store is not None:
-                store.write_shard(shard_hash, payload)
-            if summary is not None:
-                result.telemetry[shard_hash] = summary
-                if store is not None:
-                    store.write_shard_telemetry(shard_hash, summary)
-            if stats is not None:
-                result.shard_stats[shard_hash] = stats
-            done_count += 1
-            aggregator.shard_finished(by_hash[shard_hash].shard_index)
-            reporter.on_shard_done(done_count, n_shards, elapsed)
-        result.executed += 1
+        if not ok:
+            return
+        if stats is not None:
+            result.shard_stats[shard_hash] = stats
+        done_count += 1
+        aggregator.shard_finished(by_hash[shard_hash].shard_index)
+        reporter.on_shard_done(done_count, n_shards, elapsed)
 
-    if pending:
-        if stall is not None:
-            for shard in pending:
-                stall.watch(shard.shard_index)
-        tasks = [
-            {
-                "shard": shard.to_dict(),
-                "shard_hash": shard.shard_hash,
-                "telemetry": telemetry,
-                "stream": stream,
-                "capacity": capacity,
-                "monitor": monitor,
-                "heartbeat_s": config.heartbeat_s if monitor else None,
-            }
-            for shard in pending
-        ]
-        execute_pooled(
-            _execute_shard_task,
-            tasks,
-            workers,
-            record_outcome,
-            mp_context=mp_context,
-            progress_handler=(
-                aggregator.handle
-                if (progress is not None or monitor)
-                else None
-            ),
-            tick=aggregator.tick if monitor else None,
-        )
+    tasks = {
+        shard.shard_hash: {
+            "shard": shard.to_dict(),
+            "shard_hash": shard.shard_hash,
+            "telemetry": telemetry,
+            "stream": stream,
+            "capacity": capacity,
+            "monitor": monitor,
+            "heartbeat_s": config.heartbeat_s if monitor else None,
+        }
+        for shard in shards
+    }
+    stored = run_stored_tasks(
+        store,
+        tasks,
+        _execute_shard_task,
+        workers,
+        resume=resume,
+        telemetry=telemetry,
+        on_start=on_start,
+        on_outcome=on_outcome,
+        mp_context=mp_context,
+        progress_handler=(
+            aggregator.handle if (progress is not None or monitor) else None
+        ),
+        tick=aggregator.tick if monitor else None,
+    )
+    result.telemetry = stored.telemetry
+    result.executed = stored.executed
+    result.skipped = stored.skipped
+    stored.raise_failures(
+        FleetError,
+        "fleet shards",
+        lambda shard_hash: (
+            f"shard {by_hash[shard_hash].shard_index} ({shard_hash})"
+        ),
+    )
 
-    if failures:
-        preview = "; ".join(
-            f"shard {by_hash[shard_hash].shard_index}: "
-            f"{message.strip().splitlines()[-1]}"
-            for shard_hash, message in list(failures.items())[:3]
-        )
-        tracebacks = "\n".join(
-            f"--- shard {by_hash[shard_hash].shard_index} "
-            f"({shard_hash}) ---\n{message}"
-            for shard_hash, message in failures.items()
-        )
-        raise FleetError(
-            f"{len(failures)}/{len(pending)} fleet shards failed "
-            f"({preview})\n{tracebacks}",
-            failures,
-        )
-
-    result.merged = _merge_shard_payloads(spec, shards, payloads)
+    result.merged = _merge_shard_payloads(spec, shards, stored.artifacts)
     if store is not None:
-        write_fleet_artifact(result.merged, store.merged_path)
+        write_fleet_artifact(result.merged, store.root / MERGED_NAME)
     reporter.on_finish(spec.n_users, wall_clock() - started_wall)
     return result
 
@@ -720,15 +701,14 @@ def load_sharded_fleet(out_dir: PathLike) -> FleetTrialResult:
     :class:`~repro.campaign.store.StoreError` when shards are missing —
     an incomplete run should be resumed, not summarised.
     """
-    store = FleetShardStore(out_dir)
-    record = store.load_manifest_record()
-    if record is None:
-        raise StoreError(f"{out_dir}: no sharded-fleet manifest found")
-    if store.merged_path.exists():
-        return load_fleet_artifact(store.merged_path)
+    store = ArtifactStore(out_dir, kind=FLEET_KIND)
+    record = store.manifest()
+    merged = store.root / MERGED_NAME
+    if merged.exists():
+        return load_fleet_artifact(merged)
     spec = FleetSpec.from_dict(record["fleet"])
     shards = partition_fleet(spec, int(record["n_shards"]))
-    done = store.completed_hashes()
+    done = store.completed_ids()
     missing = [s for s in shards if s.shard_hash not in done]
     if missing:
         raise StoreError(
@@ -737,5 +717,5 @@ def load_sharded_fleet(out_dir: PathLike) -> FleetTrialResult:
             f"`repro fleet run --shards {len(shards)}` against this "
             "directory to finish it"
         )
-    payloads = {s.shard_hash: store.load_shard(s.shard_hash) for s in shards}
+    payloads = {s.shard_hash: store.load(s.shard_hash) for s in shards}
     return _merge_shard_payloads(spec, shards, payloads)

@@ -21,11 +21,11 @@ but an empty span track.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.obs.telemetry import Telemetry
+from repro.util.files import atomic_write_text
 
 #: Trace-process ids for the two time bases.
 SPAN_PID = 1
@@ -134,11 +134,5 @@ def write_chrome_trace(
     trace=None,
 ) -> Path:
     """Write the Chrome trace JSON for one run (atomic)."""
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(chrome_trace(telemetry, trace), sort_keys=True)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text + "\n", encoding="utf-8")
-    os.replace(tmp, target)
-    return target
+    return atomic_write_text(path, text + "\n")

@@ -1,10 +1,10 @@
 """Telemetry summaries on disk: load, merge, rank and diff.
 
-The artifact side of :mod:`repro.obs.telemetry`: fleet runs write one
-``*.telemetry.json`` sidecar, campaigns write one summary per cell under
-``<out>/telemetry/``, and the ``repro obs top`` / ``repro obs diff``
-commands consume either — a single summary file or a campaign directory
-whose per-cell summaries are merged on the fly.
+The artifact side of :mod:`repro.obs.telemetry`: a fleet run writes one
+``*.telemetry.json`` sidecar beside its artifact, campaigns and sharded
+fleets one beside each cell or shard artifact, and the ``repro obs top``
+/ ``repro obs diff`` commands consume either — a single summary file or
+a run directory whose sidecars are merged on the fly.
 """
 
 from __future__ import annotations
@@ -15,13 +15,11 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.obs.log import get_logger
 from repro.obs.telemetry import Telemetry
+from repro.util.files import atomic_write_text
 
 _log = get_logger("obs")
 
 PathLike = Union[str, Path]
-
-#: Campaign subdirectory holding one telemetry summary per cell.
-TELEMETRY_DIR_NAME = "telemetry"
 
 
 class ObsError(RuntimeError):
@@ -51,31 +49,27 @@ def _load_summary_file(path: Path) -> dict:
 
 
 def load_telemetry(path: PathLike) -> dict:
-    """One telemetry summary from a file or a campaign directory.
+    """One telemetry summary from a file or a run directory.
 
-    A directory may be a campaign output root (summaries under
-    ``<dir>/telemetry/`` are merged), a sharded fleet output root
-    (``*.telemetry.json`` sidecars next to the artifacts — including
-    per-shard sidecars under ``<dir>/shards/`` — are merged), or the
-    telemetry directory itself (its ``*.json`` files are merged).  A
-    file must be a summary written by :func:`write_telemetry` (or a
-    campaign cell / fleet shard sidecar).
+    A directory may be a run output root — every ``*.telemetry.json``
+    sidecar beside the artifacts (a fleet run's) and beside the stored
+    items under ``cells/`` or ``shards/`` (a campaign's or a sharded
+    fleet's) is merged — or a directory of plain summaries (its
+    ``*.json`` files are merged).  A file must be a summary written by
+    :func:`write_telemetry` (or a campaign cell / fleet shard sidecar).
     """
+    # Imported here: the campaign package imports this module.
+    from repro.campaign.store import KINDS
+
     target = Path(path)
     if target.is_dir():
-        telemetry_dir = target / TELEMETRY_DIR_NAME
-        files = sorted(telemetry_dir.glob("*.json"))
+        files = sorted(target.glob("*.telemetry.json"))
+        for item_dir, _ in KINDS.values():
+            files += sorted((target / item_dir).glob("*.telemetry.json"))
         if not files:
-            # Fleet sidecar convention: summaries ride next to the
-            # artifacts they describe, one `<name>.telemetry.json` per
-            # run or per shard.
-            files = sorted(target.glob("*.telemetry.json")) + sorted(
-                (target / "shards").glob("*.telemetry.json")
-            )
-        if not files:
-            # Fallback: the telemetry dir itself (manifests and merged
-            # fleet artifacts are not summaries, keep the friendly
-            # error for no-telemetry runs).
+            # Fallback: a directory of plain summaries (manifests and
+            # merged fleet artifacts are not summaries, keep the
+            # friendly error for no-telemetry runs).
             files = sorted(
                 f
                 for f in target.glob("*.json")
@@ -83,8 +77,7 @@ def load_telemetry(path: PathLike) -> dict:
             )
         if not files:
             raise ObsError(
-                f"{target}: no telemetry summaries under "
-                f"{telemetry_dir} or {target} "
+                f"{target}: no telemetry summaries found "
                 f"(was the run made with --telemetry?)"
             )
         # A corrupt or unreadable sidecar (torn write, stray file) costs
@@ -119,14 +112,8 @@ def load_telemetry(path: PathLike) -> dict:
 
 def write_telemetry(summary: dict, path: PathLike) -> Path:
     """Write one summary as canonical JSON (sorted keys, trailing newline)."""
-    target = Path(path)
-    if target.parent and not target.parent.exists():
-        target.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(summary, sort_keys=True, separators=(",", ": "), indent=1)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(text + "\n", encoding="utf-8")
-    tmp.replace(target)
-    return target
+    return atomic_write_text(path, text + "\n")
 
 
 def sidecar_path(artifact_path: PathLike) -> Path:

@@ -9,6 +9,7 @@ from repro.bench.harness import (
     results_payload,
     speedup,
     time_fn,
+    time_interleaved,
     write_bench_json,
 )
 
@@ -282,6 +283,53 @@ class TestFleetSuite:
         assert derived["sharded_identical"] is True
         assert set(derived["scaling_median_s"]) == {"4", "16"}
         assert all(median > 0 for median in derived["scaling_median_s"].values())
+
+
+class TestTimeInterleaved:
+    def test_rounds_alternate_and_flip(self):
+        calls = []
+        a, b = time_interleaved(
+            [("a", lambda: calls.append("a"), {"side": "a"}),
+             ("b", lambda: calls.append("b"), {})],
+            repeats=3, warmup=1,
+        )
+        assert calls == ["a", "b", "b", "a", "a", "b", "b", "a"]
+        assert (a.name, a.repeats, a.warmup, a.meta) == ("a", 3, 1, {"side": "a"})
+        assert (b.name, len(b.samples_s)) == ("b", 3)
+
+    def test_rejects_bad_counts(self):
+        case = ("a", lambda: None, {})
+        with pytest.raises(ValueError):
+            time_interleaved([case, case], repeats=0)
+        with pytest.raises(ValueError):
+            time_interleaved([case, case], repeats=1, warmup=-1)
+
+    def test_burst_heavy_telemetry_cases_alternate(self, monkeypatch):
+        import contextlib
+        from types import SimpleNamespace
+
+        from repro.bench import suites
+        from repro.obs import telemetry as telemetry_mod
+
+        calls = []
+
+        @contextlib.contextmanager
+        def fake_session(seed, beamwidth_deg):
+            calls.append("on" if telemetry_mod.current().enabled else "off")
+            yield SimpleNamespace(
+                mobile=SimpleNamespace(codebook=[0]),
+                attach_listener=lambda listener: None,
+                run=lambda duration_s: None,
+            )
+
+        monkeypatch.setattr(suites, "_burst_heavy_session", fake_session)
+        results = []
+        suites._bench_fig2a_burst_heavy(results, 3, 1, 0.1)
+        assert calls == ["off", "on", "on", "off", "off", "on", "on", "off"]
+        assert [r.name for r in results] == [
+            "fig2a.burst_heavy.vectorized", "fig2a.burst_heavy.telemetry"
+        ]
+        assert results[1].meta["telemetry"] is True
 
 
 class TestSuite:

@@ -19,6 +19,7 @@ from repro.campaign.progress import ProgressReporter
 from repro.campaign.runner import (
     CampaignError,
     CampaignResult,
+    load_campaign_spec,
     run_campaign,
     resume_campaign,
 )
@@ -51,7 +52,10 @@ def small_search_spec(**kwargs) -> CampaignSpec:
 
 
 def artifact_bytes(out_dir) -> dict:
-    cells = sorted((out_dir / "cells").glob("*.json"))
+    cells = sorted(
+        path for path in (out_dir / "cells").glob("*.json")
+        if not path.name.endswith(".telemetry.json")
+    )
     return {path.name: path.read_bytes() for path in cells}
 
 
@@ -310,24 +314,36 @@ class TestDeterminismAndResume:
         assert len(rows) == 2  # narrow + omni arms
 
 
+def manifest_record(spec: CampaignSpec) -> dict:
+    return {"name": spec.name, "spec": spec.to_dict(),
+            "spec_hash": spec.spec_hash, "cells": []}
+
+
 class TestStore:
     def test_initialize_twice_same_spec_ok(self, tmp_path):
         store = ArtifactStore(tmp_path / "camp")
         spec = small_search_spec()
-        store.initialize(spec)
-        store.initialize(spec)
-        assert store.load_spec() == spec
+        store.initialize(manifest_record(spec), ("spec_hash",))
+        store.initialize(manifest_record(spec), ("spec_hash",))
+        assert load_campaign_spec(tmp_path / "camp") == spec
+        assert store.manifest()["kind"] == "campaign"
+        other = small_search_spec(base_seed=999)
+        with pytest.raises(StoreError, match="different identity"):
+            store.initialize(manifest_record(other), ("spec_hash",))
 
     def test_load_spec_without_manifest(self, tmp_path):
-        with pytest.raises(StoreError):
-            ArtifactStore(tmp_path / "nowhere").load_spec()
+        with pytest.raises(StoreError, match="no campaign manifest"):
+            load_campaign_spec(tmp_path / "nowhere")
 
     def test_artifact_id_mismatch_treated_missing(self, tmp_path):
         store = ArtifactStore(tmp_path / "camp")
         spec = small_search_spec(seeds=1, protocols=("narrow",))
-        store.initialize(spec)
+        store.initialize(manifest_record(spec), ("spec_hash",))
         cell = spec.expand()[0]
-        path = store.write_cell(cell, {"ok": 1})
+        path = store.write(
+            cell.cell_id, {"cell": cell.to_dict(), "payload": {"ok": 1}}
+        )
+        store.write_telemetry(cell.cell_id, {"spans": {}})
         assert store.completed_ids() == {cell.cell_id}
         renamed = path.with_name("0000000000000000.json")
         path.rename(renamed)
@@ -397,3 +413,53 @@ class TestCampaignCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert "no campaign manifest" in captured.err
+
+
+class TestCrossKindDirectories:
+    """Campaign and fleet verbs refuse each other's directories (exit 2)."""
+
+    @pytest.fixture(scope="class")
+    def dirs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("kinds")
+        campaign, fleet = root / "camp", root / "fleet"
+        assert main(["campaign", "run", "--experiment", "search",
+                     "--scenarios", "walk", "--protocols", "narrow",
+                     "--seeds", "1", "--quiet", "--no-ledger",
+                     "--out", str(campaign)]) == 0
+        assert main(["fleet", "run", "--users", "4", "--duration", "0.5",
+                     "--shards", "2", "--quiet", "--no-ledger",
+                     "--out", str(fleet)]) == 0
+        return campaign, fleet
+
+    @staticmethod
+    def assert_refused(argv, capsys, kind):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"holds a {kind} run" in err
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "verb", [["summarize"], ["resume", "--no-ledger"]],
+        ids=["summarize", "resume"],
+    )
+    def test_campaign_verbs_refuse_fleet_dir(self, dirs, capsys, verb):
+        _, fleet = dirs
+        self.assert_refused(
+            ["campaign", *verb, "--out", str(fleet)], capsys, "fleet-shards"
+        )
+
+    @pytest.mark.parametrize("verb", ["summarize", "resume"])
+    def test_fleet_verbs_refuse_campaign_dir(self, dirs, capsys, verb):
+        campaign, _ = dirs
+        if verb == "summarize":
+            argv = ["fleet", "summarize", "--artifact", str(campaign)]
+        else:
+            # A sharded fleet resumes by re-running into its directory.
+            argv = ["fleet", "run", "--users", "4", "--duration", "0.5",
+                    "--shards", "2", "--quiet", "--no-ledger",
+                    "--out", str(campaign)]
+        self.assert_refused(argv, capsys, "campaign")
+        assert not (campaign / "shards").exists()

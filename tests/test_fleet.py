@@ -383,9 +383,7 @@ class TestShardPartition:
 
 class TestFleetAccumulator:
     def test_exact_aggregates_match_aggregate_users(self):
-        from repro.fleet import FleetAccumulator, aggregate_users
-        from repro.fleet.metrics import user_result
-        from repro.fleet.runner import run_built_fleet
+        from repro.fleet import FleetAccumulator
 
         spec = small_spec(n_users=5, duration_s=1.0)
         trial = run_fleet_trial(spec)
@@ -432,29 +430,31 @@ class TestFleetAccumulator:
 class TestShardStore:
     def test_initialize_refuses_different_sharding(self, tmp_path):
         from repro.campaign.store import StoreError
-        from repro.fleet import FleetShardStore, partition_fleet
+        from repro.fleet import run_fleet_sharded
 
-        spec = small_spec()
-        shards = partition_fleet(spec, 2)
-        hashes = {s.shard_index: s.shard_hash for s in shards}
-        store = FleetShardStore(tmp_path)
-        store.initialize(spec, 2, hashes, stream=False, capacity=None)
+        spec = small_spec(n_users=4, duration_s=0.5)
+        run_fleet_sharded(spec, 2, out_dir=tmp_path)
         # Same arithmetic is the resume path.
-        store.initialize(spec, 2, hashes, stream=False, capacity=None)
-        with pytest.raises(StoreError):
-            store.initialize(spec, 2, hashes, stream=True, capacity=64)
+        again = run_fleet_sharded(spec, 2, out_dir=tmp_path)
+        assert (again.executed, again.skipped) == (0, 2)
+        with pytest.raises(StoreError, match="different identity"):
+            run_fleet_sharded(
+                spec, 2, out_dir=tmp_path, stream=True, capacity=64
+            )
+        with pytest.raises(StoreError, match="different identity"):
+            run_fleet_sharded(spec, 4, out_dir=tmp_path)
 
     def test_completed_hashes_ignores_corrupt_and_sidecars(self, tmp_path):
-        from repro.fleet import FleetShardStore
+        from repro.campaign.store import FLEET_KIND, ArtifactStore
 
-        store = FleetShardStore(tmp_path)
-        store.write_shard("abc123", {"shard_hash": "abc123"})
-        store.write_shard_telemetry("abc123", {"spans": {}})
+        store = ArtifactStore(tmp_path, kind=FLEET_KIND)
+        store.write("abc123", {"shard_hash": "abc123"})
+        store.write_telemetry("abc123", {"spans": {}})
         (tmp_path / "shards" / "broken.json").write_text("{nope")
         (tmp_path / "shards" / "wronghash.json").write_text(
             json.dumps({"shard_hash": "other"})
         )
-        assert store.completed_hashes() == {"abc123"}
+        assert store.completed_ids() == {"abc123"}
 
 
 class TestShardedRunner:

@@ -315,7 +315,10 @@ class TestTelemetryByteIdentity:
         for label, flag in (("plain", False), ("telemetry", True)):
             out = tmp_path / label
             result = run_campaign(spec, out_dir=out, telemetry=flag)
-            cells = sorted((out / "cells").glob("*.json"))
+            cells = sorted(
+                path for path in (out / "cells").glob("*.json")
+                if not path.name.endswith(".telemetry.json")
+            )
             assert len(cells) == spec.n_cells
             cell_bytes[label] = {p.name: p.read_bytes() for p in cells}
             assert (len(result.telemetry) == spec.n_cells) is flag

@@ -310,13 +310,11 @@ class TestReportTooling:
         assert load_telemetry(path) == summary
 
     def test_load_directory_merges_cells(self, tmp_path):
-        (tmp_path / "telemetry").mkdir()
-        write_telemetry(
-            make_summary(a=(1, 1.0)), tmp_path / "telemetry" / "c1.json"
-        )
-        write_telemetry(
-            make_summary(a=(1, 2.0)), tmp_path / "telemetry" / "c2.json"
-        )
+        cells = tmp_path / "cells"
+        write_telemetry(make_summary(a=(1, 1.0)), cells / "c1.telemetry.json")
+        write_telemetry(make_summary(a=(1, 2.0)), cells / "c2.telemetry.json")
+        # The cell artifacts beside the sidecars are not summaries.
+        (cells / "c1.json").write_text('{"cell": {}}', encoding="utf-8")
         merged = load_telemetry(tmp_path)
         assert merged["spans"]["a"] == {"count": 2, "total_s": 3.0}
 
@@ -542,8 +540,9 @@ class TestObsCli:
             ]
         )
         assert status == 0
-        sidecars = list((out / "telemetry").glob("*.json"))
+        sidecars = list((out / "cells").glob("*.telemetry.json"))
         assert len(sidecars) == 1
+        assert not (out / "telemetry").exists()
         capsys.readouterr()
         assert main(["obs", "top", str(out)]) == 0
         assert "hottest spans" in capsys.readouterr().out
